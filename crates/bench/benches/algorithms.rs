@@ -1,7 +1,3 @@
-// The deprecated one-shot wrappers are exercised on purpose: the shims
-// must keep working (and stay measurable) until they are removed.
-#![allow(deprecated)]
-
 //! Wall-clock Criterion benchmarks of the spanning-tree algorithms.
 //!
 //! One group per figure data series (see DESIGN.md §3): these exercise
@@ -17,8 +13,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use st_bench::workloads::Workload;
 use st_core::bader_cong::BaderCong;
-use st_core::sv::{self, SvConfig};
-use st_core::{hcs, seq};
+use st_core::hcs::Hcs;
+use st_core::sv::{Sv, SvConfig};
+use st_core::{seq, Engine};
 
 fn scale() -> usize {
     // Typed env parsing: a malformed ST_BENCH_SCALE aborts the bench
@@ -35,7 +32,7 @@ fn bench_fig3_series(c: &mut Criterion) {
     group.bench_function("sequential_bfs", |b| b.iter(|| seq::bfs_forest(&g)));
     for p in [1usize, 2, 4, 8] {
         group.bench_with_input(BenchmarkId::new("bader_cong", p), &p, |b, &p| {
-            b.iter(|| BaderCong::with_defaults().spanning_forest(&g, p))
+            b.iter(|| Engine::new(p).run(&BaderCong::with_defaults(), &g))
         });
     }
     group.finish();
@@ -58,10 +55,10 @@ fn bench_fig4_lines(c: &mut Criterion) {
         group.sample_size(10);
         group.bench_function("sequential_bfs", |b| b.iter(|| seq::bfs_forest(&g)));
         group.bench_function("bader_cong_p4", |b| {
-            b.iter(|| BaderCong::with_defaults().spanning_forest(&g, 4))
+            b.iter(|| Engine::new(4).run(&BaderCong::with_defaults(), &g))
         });
         group.bench_function("sv_p4", |b| {
-            b.iter(|| sv::spanning_forest(&g, 4, SvConfig::default()))
+            b.iter(|| Engine::new(4).run(&Sv::new(SvConfig::default()), &g))
         });
         group.finish();
     }
@@ -74,9 +71,9 @@ fn bench_hcs_vs_sv(c: &mut Criterion) {
     let mut group = c.benchmark_group("hcs_vs_sv");
     group.sample_size(10);
     group.bench_function("sv_p4", |b| {
-        b.iter(|| sv::spanning_forest(&g, 4, SvConfig::default()))
+        b.iter(|| Engine::new(4).run(&Sv::new(SvConfig::default()), &g))
     });
-    group.bench_function("hcs_p4", |b| b.iter(|| hcs::spanning_forest(&g, 4)));
+    group.bench_function("hcs_p4", |b| b.iter(|| Engine::new(4).run(&Hcs, &g)));
     group.finish();
 }
 

@@ -10,8 +10,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use st_bench::workloads::Workload;
 use st_smp::barrier::BarrierToken;
 use st_smp::{
-    run_team, DisseminationBarrier, Executor, SenseBarrier, SpinLock, StealPolicy, TicketLock,
-    WorkQueue,
+    DisseminationBarrier, Executor, SenseBarrier, SpinLock, StealPolicy, TicketLock, WorkQueue,
 };
 
 /// Cost of one software-barrier episode at several team sizes — the
@@ -23,7 +22,7 @@ fn bench_barrier(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("sense", p), &p, |b, &p| {
             b.iter(|| {
                 let bar = SenseBarrier::new(p);
-                run_team(p, |_| {
+                Executor::new(p).run(|_| {
                     let token = BarrierToken::new();
                     for _ in 0..100 {
                         bar.wait(&token);
@@ -34,7 +33,7 @@ fn bench_barrier(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("dissemination", p), &p, |b, &p| {
             b.iter(|| {
                 let bar = DisseminationBarrier::new(p);
-                run_team(p, |ctx| {
+                Executor::new(p).run(|ctx| {
                     let token = bar.token(ctx.rank());
                     for _ in 0..100 {
                         bar.wait(&token);
@@ -95,7 +94,7 @@ fn bench_locks(c: &mut Criterion) {
 }
 
 /// Cost of dispatching one small team job: spawning fresh threads per
-/// call (`run_team`, the seed substrate) vs handing the closure to a
+/// call (a fresh `Executor` per job) vs handing the closure to a
 /// persistent, parked team (`Executor::run`). The gap is the fixed
 /// per-invocation overhead the engine removes from every algorithm call.
 fn bench_executor_reuse(c: &mut Criterion) {
@@ -105,7 +104,7 @@ fn bench_executor_reuse(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("spawn_per_call", p), &p, |b, &p| {
             let sink = AtomicU64::new(0);
             b.iter(|| {
-                run_team(p, |ctx| {
+                Executor::new(p).run(|ctx| {
                     sink.fetch_add(ctx.rank() as u64 + 1, Ordering::Relaxed);
                 });
             })

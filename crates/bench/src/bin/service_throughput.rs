@@ -11,10 +11,10 @@
 //! under two execution models:
 //!
 //! * `naive` — what callers wrote before the service existed: each job
-//!   calls the (now deprecated) one-shot entry point, which spawns a
-//!   fresh team of width `max(teams)`, runs, and tears it down. With
-//!   `C` clients this oversubscribes the machine with `C × p` transient
-//!   threads and pays the spawn/join tax on every job.
+//!   builds a fresh [`Engine`](st_core::Engine) of width `max(teams)`,
+//!   runs, and tears it down. With `C` clients this oversubscribes the
+//!   machine with `C × p` transient threads and pays the spawn/join tax
+//!   on every job.
 //! * `service` — one [`Service`](st_service::Service) with the given
 //!   team layout and admission-queue capacity; clients submit through
 //!   the job builder and block in `wait()`.
@@ -40,6 +40,7 @@ use std::time::Instant;
 
 use serde::Serialize;
 use st_core::bader_cong::BaderCong;
+use st_core::Engine;
 use st_graph::gen::random_gnm;
 use st_graph::CsrGraph;
 use st_obs::PoolSnapshot;
@@ -318,8 +319,7 @@ fn main() {
     // convention this benchmark exists to retire.
     let (naive_wall, naive_lats) = drive(opts.clients, opts.jobs, expected_trees, || {
         let algo = BaderCong::with_defaults();
-        #[allow(deprecated)] // the baseline IS the deprecated pattern
-        let forest = algo.spanning_forest(&g, naive_p);
+        let forest = Engine::new(naive_p).run(&algo, &g);
         forest.num_trees()
     });
     let naive = model_result("naive", total_jobs, naive_wall, &naive_lats, None, None);

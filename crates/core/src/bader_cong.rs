@@ -82,19 +82,6 @@ impl BaderCong {
         &self.cfg
     }
 
-    /// Computes a spanning forest of `g` with a one-shot team of `p`
-    /// processors.
-    #[deprecated(
-        since = "0.6.0",
-        note = "spawns a fresh team per call; use `Engine::job(&g).run()` \
-                or the st-service submission API"
-    )]
-    pub fn spanning_forest(&self, g: &CsrGraph, p: usize) -> SpanningForest {
-        let exec = Executor::new(p);
-        let mut ws = Workspace::new();
-        self.run_on(g, &exec, &mut ws)
-    }
-
     /// Computes a spanning forest of `g` on an existing team, with all
     /// scratch state drawn from `ws`.
     ///
@@ -426,18 +413,16 @@ fn fallback(
 }
 
 #[cfg(test)]
-// The deprecated one-shot wrappers are exercised on purpose: the shims
-// must keep working until they are removed.
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::Engine;
     use st_graph::gen;
     use st_graph::label::{random_permutation, relabel};
     use st_graph::validate::{is_spanning_forest, is_spanning_tree};
     use st_smp::StealPolicy;
 
     fn check_forest(g: &CsrGraph, p: usize) -> SpanningForest {
-        let f = BaderCong::with_defaults().spanning_forest(g, p);
+        let f = Engine::new(p).run(&BaderCong::with_defaults(), g);
         assert!(
             is_spanning_forest(g, &f.parents),
             "invalid forest for p = {p}"
@@ -525,7 +510,7 @@ mod tests {
             },
             ..Config::default()
         };
-        let f = BaderCong::new(cfg).spanning_forest(&g, 4);
+        let f = Engine::new(4).run(&BaderCong::new(cfg), &g);
         assert!(
             f.stats.fallback_triggered,
             "chain should trigger starvation with threshold 3"
@@ -554,7 +539,7 @@ mod tests {
             },
             ..Config::default()
         };
-        let f = BaderCong::new(cfg).spanning_forest(&g, 4);
+        let f = Engine::new(4).run(&BaderCong::new(cfg), &g);
         assert!(
             is_spanning_forest(&g, &f.parents),
             "fallback forest invalid"
@@ -582,7 +567,7 @@ mod tests {
             deg2_preprocess: true,
             ..Config::default()
         };
-        let f = BaderCong::new(cfg).spanning_forest(&g, 4);
+        let f = Engine::new(4).run(&BaderCong::new(cfg), &g);
         assert!(is_spanning_forest(&g, &f.parents));
         assert_eq!(f.roots.len(), 1);
     }
@@ -608,20 +593,20 @@ mod tests {
                 },
                 ..Config::default()
             };
-            let f = BaderCong::new(cfg).spanning_forest(&g, 4);
+            let f = Engine::new(4).run(&BaderCong::new(cfg), &g);
             assert!(is_spanning_forest(&g, &f.parents), "policy {policy:?}");
         }
     }
 
     #[test]
     fn empty_graph() {
-        let f = BaderCong::with_defaults().spanning_forest(&CsrGraph::empty(0), 2);
+        let f = Engine::new(2).run(&BaderCong::with_defaults(), &CsrGraph::empty(0));
         assert!(f.parents.is_empty());
     }
 
     #[test]
     fn edgeless_graph() {
-        let f = BaderCong::with_defaults().spanning_forest(&CsrGraph::empty(7), 3);
+        let f = Engine::new(3).run(&BaderCong::with_defaults(), &CsrGraph::empty(7));
         assert_eq!(f.roots.len(), 7);
     }
 
@@ -633,7 +618,7 @@ mod tests {
                 stub_factor: factor,
                 ..Config::default()
             };
-            let f = BaderCong::new(cfg).spanning_forest(&g, 4);
+            let f = Engine::new(4).run(&BaderCong::new(cfg), &g);
             assert!(is_spanning_forest(&g, &f.parents), "stub factor {factor}");
         }
     }

@@ -478,8 +478,7 @@ impl Engine {
     }
 
     /// Starts a job submission for `g`: the builder-style entry point
-    /// that unifies the per-algorithm `*_on` functions and one-shot
-    /// wrappers.
+    /// that unifies the per-algorithm `*_on` functions.
     ///
     /// ```
     /// use st_core::{BaderCong, Engine};

@@ -363,19 +363,6 @@ fn code(edge: usize, dir: u64) -> u64 {
     (edge as u64) * 2 + dir
 }
 
-/// Full SV spanning forest with a one-shot team of `p` processors.
-#[deprecated(
-    since = "0.6.0",
-    note = "spawns a fresh team per call; use \
-            `Engine::job(&g).algorithm(&Sv::default()).run()` or the \
-            st-service submission API"
-)]
-pub fn spanning_forest(g: &CsrGraph, p: usize, cfg: SvConfig) -> SpanningForest {
-    let exec = Executor::new(p);
-    let mut ws = Workspace::new();
-    spanning_forest_on(g, &exec, &mut ws, cfg)
-}
-
 /// Full SV spanning forest on an existing team: graft-and-shortcut, then
 /// parallel orientation of the collected tree edges into rooted parent
 /// arrays.
@@ -475,17 +462,15 @@ impl SpanningAlgorithm for Sv {
 }
 
 #[cfg(test)]
-// The deprecated one-shot wrappers are exercised on purpose: the shims
-// must keep working until they are removed.
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::Engine;
     use st_graph::gen;
     use st_graph::label::{random_permutation, relabel};
     use st_graph::validate::{count_components, is_spanning_forest};
 
     fn check(g: &CsrGraph, p: usize, cfg: SvConfig) -> SpanningForest {
-        let f = spanning_forest(g, p, cfg);
+        let f = Engine::new(p).run(&Sv::new(cfg), g);
         assert!(
             is_spanning_forest(g, &f.parents),
             "invalid SV forest (p = {p}, {cfg:?})"
@@ -626,7 +611,7 @@ mod tests {
     fn empty_and_edgeless() {
         let out = sv_core(&CsrGraph::empty(0), 2, None, SvConfig::default());
         assert_eq!(out.grafts, 0);
-        let f = spanning_forest(&CsrGraph::empty(4), 2, SvConfig::default());
+        let f = Engine::new(2).run(&Sv::new(SvConfig::default()), &CsrGraph::empty(4));
         assert_eq!(f.roots.len(), 4);
     }
 

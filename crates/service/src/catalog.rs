@@ -324,12 +324,6 @@ impl GraphCatalog {
         }
     }
 
-    /// The current graph under `id`, with the exact ref it resolves to.
-    #[deprecated(note = "use `resolve_latest`, or `resolve_pinned` for an exact version")]
-    pub fn resolve(&self, id: GraphId) -> Option<(Arc<CsrGraph>, GraphRef)> {
-        self.resolve_latest(id)
-    }
-
     /// Unregisters `id`. Later submissions addressing it fail with
     /// [`JobError::UnknownGraph`](crate::JobError::UnknownGraph);
     /// in-flight jobs keep their `Arc` and finish normally.
@@ -658,16 +652,6 @@ mod tests {
         assert_eq!(r1, r2);
         assert!(Arc::ptr_eq(&a, &b), "second resolve reuses the memo");
         assert!(!a.neighbors(0).contains(&1));
-    }
-
-    #[test]
-    fn deprecated_resolve_still_delegates() {
-        let cat = GraphCatalog::new();
-        let gref = cat.register(Arc::new(gen::chain(3)));
-        #[allow(deprecated)]
-        let (g, exact) = cat.resolve(gref.id).unwrap();
-        assert_eq!(g.num_vertices(), 3);
-        assert_eq!(exact, gref);
     }
 
     #[test]

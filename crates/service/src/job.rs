@@ -109,6 +109,24 @@ impl JobError {
         }
     }
 
+    /// The stable lowercase name journal `finished` events carry for
+    /// this error. The runtime outcomes match the `outcome` label
+    /// values of `st_service_jobs_finished_total`; the rest name the
+    /// reason a submission was turned away.
+    pub(crate) fn name(&self) -> &'static str {
+        match self {
+            JobError::Backpressure => "backpressure",
+            JobError::Cancelled => "cancelled",
+            JobError::DeadlineExceeded => "deadline_exceeded",
+            JobError::Panicked(_) => "panicked",
+            JobError::ShuttingDown => "shutting_down",
+            JobError::UnknownGraph => "unknown_graph",
+            JobError::QuotaExceeded => "quota_exceeded",
+            JobError::DeadlineUnmeetable => "deadline_unmeetable",
+            JobError::StaleVersion(_) => "stale_version",
+        }
+    }
+
     /// Classifies a fired token: an expired deadline wins over an
     /// explicit cancel (the tenant that set both cares about the
     /// deadline diagnosis).
@@ -170,6 +188,19 @@ impl JobState {
             trace,
             observer: OnceLock::new(),
         })
+    }
+
+    /// A state resolved at birth: a submission the result cache
+    /// answered at the door never becomes a job, so nothing else will
+    /// ever finish it.
+    pub(crate) fn resolved(
+        result: Result<SpanningForest, JobError>,
+        token: CancelToken,
+        trace: TraceId,
+    ) -> Arc<Self> {
+        let state = Self::new(token, trace);
+        state.finish(result);
+        state
     }
 
     /// Registers the service hook cancel should notify. Called at

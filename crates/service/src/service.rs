@@ -8,7 +8,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use st_core::engine::{SpanningAlgorithm, Workspace};
-use st_core::{BaderCong, RuntimeConfig};
+use st_core::{BaderCong, RuntimeConfig, SpanningForest};
 use st_graph::{CsrGraph, EdgeBatch};
 use st_obs::{JobEventKind, JobOutcomeKind, PoolGauges, PoolSnapshot, TraceId};
 use st_smp::{CancelToken, ExecutorPool};
@@ -24,24 +24,28 @@ use crate::telemetry::{Telemetry, DEFAULT_JOURNAL_CAPACITY, DEFAULT_SLOW_JOB_MS}
 /// bounds the dispatcher needs to carry it across the queue.
 type BoxedAlgorithm = Box<dyn SpanningAlgorithm + Send + Sync>;
 
-/// One admitted job, queued until a dispatcher picks it up.
-struct QueuedJob {
-    graph: Arc<CsrGraph>,
-    algo: BoxedAlgorithm,
+/// What resolving a job needs: its handle's state and the labels its
+/// terminal accounting is filed under. [`Shared::finish`] consumes it,
+/// so a job is resolved at most once.
+struct Ticket {
     state: Arc<JobState>,
-    submitted_at: Instant,
-    /// Explicit width request; `None` = let the sizing oracle decide.
-    preferred_p: Option<usize>,
     /// Admission lane the job waits in (for per-lane gauge accounting).
     lane: usize,
-    /// The job's trace id (same id as `state.trace`, duplicated so the
-    /// dispatcher never locks the state just to journal an event).
-    trace: TraceId,
     /// Bounded algorithm label for the per-algorithm histograms.
     algo_label: &'static str,
     /// When the job came through the catalog-addressed path: the key to
     /// publish its forest under on completion.
     cache_slot: Option<CacheKey>,
+}
+
+/// One admitted job, queued until a dispatcher picks it up.
+struct QueuedJob {
+    ticket: Ticket,
+    graph: Arc<CsrGraph>,
+    algo: BoxedAlgorithm,
+    submitted_at: Instant,
+    /// Explicit width request; `None` = let the sizing oracle decide.
+    preferred_p: Option<usize>,
     /// Tenant the job's queued-slot quota is charged to (0 = anonymous).
     tenant: u64,
 }
@@ -141,7 +145,7 @@ impl Admission {
     /// Removes a still-queued job by trace id (the eager cancel sweep).
     fn remove_by_trace(&mut self, trace: TraceId) -> Option<QueuedJob> {
         for lane in &mut self.lanes {
-            if let Some(i) = lane.iter().position(|j| j.trace == trace) {
+            if let Some(i) = lane.iter().position(|j| j.ticket.state.trace == trace) {
                 let job = lane.remove(i).expect("position came from this lane");
                 self.len -= 1;
                 self.release_tenant(job.tenant);
@@ -232,6 +236,54 @@ impl Shared {
         self.pending_resizes.lock().unwrap().insert(team, target);
         self.apply_pending_resize(team);
     }
+
+    /// Dequeue bookkeeping shared by the dispatcher and the eager cancel
+    /// sweep: the lane gauge and the journal's `dequeued` event. Returns
+    /// the time the job spent queued.
+    fn on_dequeued(&self, job: &QueuedJob) -> u64 {
+        self.gauges.on_dequeue(job.ticket.lane);
+        self.telemetry.journal().record_now(
+            job.ticket.state.trace,
+            JobEventKind::Dequeued,
+            Some(job.ticket.lane as u8),
+            None,
+            None,
+        );
+        elapsed_ns(job.submitted_at)
+    }
+
+    /// Resolves a job: the one place a terminal outcome is counted,
+    /// journaled and handed to the waiting handle. `queue_ns` and
+    /// `exec_ns` are the job's time queued and on a team (zero for a
+    /// stage it never reached). A completed catalog job also publishes
+    /// its forest to the result cache.
+    fn finish(
+        &self,
+        job: Ticket,
+        result: Result<SpanningForest, JobError>,
+        queue_ns: u64,
+        exec_ns: u64,
+    ) {
+        let kind = match &result {
+            Ok(forest) => {
+                if let Some(key) = job.cache_slot {
+                    self.cache.insert(key, forest.clone());
+                }
+                JobOutcomeKind::Completed
+            }
+            Err(err) => err.outcome_kind(),
+        };
+        self.gauges.on_finish(kind, queue_ns, exec_ns);
+        self.telemetry.on_finished(
+            job.state.trace,
+            job.lane as u8,
+            job.algo_label,
+            queue_ns,
+            exec_ns,
+            &result,
+        );
+        job.state.finish(result);
+    }
 }
 
 impl CancelObserver for Shared {
@@ -250,29 +302,9 @@ impl CancelObserver for Shared {
         // classification from the token (deadline wins over cancel),
         // then the handle resolves and a blocked submitter gets the
         // freed slot.
-        self.gauges.on_dequeue(job.lane);
-        self.telemetry.journal().record_now(
-            job.trace,
-            JobEventKind::Dequeued,
-            Some(job.lane as u8),
-            None,
-            None,
-        );
-        let queue_ns = elapsed_ns(job.submitted_at);
-        let err = JobError::from_token(&job.state.token);
-        self.gauges.on_finish(err.outcome_kind(), queue_ns, 0);
-        self.telemetry.on_finished(
-            job.trace,
-            job.lane as u8,
-            None,
-            outcome_name(err.outcome_kind()),
-            queue_ns,
-            0,
-            false,
-            job.algo_label,
-            None,
-        );
-        job.state.finish(Err(err));
+        let queue_ns = self.on_dequeued(&job);
+        let err = JobError::from_token(&job.ticket.state.token);
+        self.finish(job.ticket, Err(err), queue_ns, 0);
         self.space.notify_one();
     }
 }
@@ -855,117 +887,49 @@ impl Service {
         self.submit_spec_inner(spec, false)
     }
 
+    /// Resolves the spec's graph selector and cache key, then admits it
+    /// like any other submission.
     fn submit_spec_inner(&self, spec: JobSpec, block: bool) -> Result<Submitted, JobError> {
         let arrived = Instant::now();
         // Resolve the selector to a pinned snapshot. A pinned selector
         // whose version has been superseded may still be served from the
-        // result cache — the cache key is exact-version — so the stale
-        // error is deferred until after the cache lookup below.
-        let (graph, gref, stale) = match spec.graph {
+        // result cache — the cache key is exact-version — so admission
+        // reports the stale version only after its cache lookup.
+        let (graph, gref) = match spec.graph {
             GraphSel::Latest(id) => {
                 let (graph, gref) = self
                     .shared
                     .catalog
                     .resolve_latest(id)
                     .ok_or(JobError::UnknownGraph)?;
-                (Some(graph), gref, None)
+                (Ok(graph), gref)
             }
-            GraphSel::Pinned(gref) => match self.shared.catalog.resolve_pinned(gref) {
-                None => return Err(JobError::UnknownGraph),
-                Some(Ok(graph)) => (Some(graph), gref, None),
-                Some(Err(current)) => (None, gref, Some(current)),
-            },
+            GraphSel::Pinned(gref) => {
+                let graph = self
+                    .shared
+                    .catalog
+                    .resolve_pinned(gref)
+                    .ok_or(JobError::UnknownGraph)?;
+                (graph, gref)
+            }
         };
-        let key = CacheKey {
-            graph: gref,
-            algorithm: spec.algorithm,
-            seed: spec.seed,
-            processors: spec.processors.unwrap_or(0),
-        };
-        let token = match spec.deadline {
-            Some(d) => CancelToken::with_deadline(arrived + d),
-            None => CancelToken::new(),
-        };
-        // Front-ends may pre-mint the id (the TCP server does, so the
-        // wire reply and the journal agree); otherwise mint here.
-        let trace = spec.trace.map(TraceId).unwrap_or_else(TraceId::mint);
-        let lane = spec.priority.lane();
-        let state = JobState::new(token, trace);
-        let journal = self.shared.telemetry.journal();
-        journal.record_now(
-            trace,
-            JobEventKind::Submitted,
-            Some(lane as u8),
-            None,
-            Some(spec.algorithm.name().to_owned()),
-        );
-        // A cache hit completes instantly, so any live deadline is met
-        // trivially — but a deadline that is already expired at
-        // submission (e.g. Duration::ZERO) must still report
-        // DeadlineExceeded, exactly as the executed path would.
-        if state.token.is_cancelled() {
-            let err = JobError::from_token(&state.token);
-            self.shared.gauges.on_submit_unqueued();
-            self.shared.gauges.on_finish(err.outcome_kind(), 0, 0);
-            journal.record_now(
-                trace,
-                JobEventKind::Finished,
-                Some(lane as u8),
-                None,
-                Some(outcome_name(err.outcome_kind()).to_owned()),
-            );
-            state.finish(Err(err));
-            return Ok(Submitted {
-                handle: JobHandle::new(state),
-                cached: false,
-            });
-        }
-        if let Some(forest) = self.shared.cache.get(&key) {
-            // Short-circuit: the forest is already known for this exact
-            // (graph version, algorithm, seed, width). No queue entry,
-            // no team lease — the handle resolves before it is returned.
-            // `on_cache_hit` counts the completion under the dedicated
-            // cached series; the zero-latency hit stays out of the
-            // execution histograms.
-            self.shared.gauges.on_cache_hit();
-            self.shared
-                .telemetry
-                .on_cached(trace, lane as u8, elapsed_ns(arrived));
-            state.finish(Ok(forest));
-            return Ok(Submitted {
-                handle: JobHandle::new(state),
-                cached: true,
-            });
-        }
-        self.shared.gauges.on_cache_miss();
-        // A stale pin that the cache could not serve cannot execute:
-        // the pinned version's CSR is gone (superseded or evicted).
-        let Some(graph) = graph else {
-            let current = stale.unwrap_or(gref.version);
-            return Err(self.reject(
-                trace,
-                lane,
-                "stale_version",
-                JobError::StaleVersion(current),
-            ));
-        };
-        let job = QueuedJob {
+        JobBuilder {
+            service: self,
             graph,
-            algo: spec.algorithm.instantiate(spec.seed),
-            state: Arc::clone(&state),
-            submitted_at: arrived,
+            algo: Some(spec.algorithm.instantiate(spec.seed)),
+            deadline: spec.deadline,
+            priority: spec.priority,
             preferred_p: spec.processors,
-            lane,
-            trace,
-            algo_label: spec.algorithm.name(),
-            cache_slot: Some(key),
             tenant: spec.tenant,
-        };
-        self.enqueue(job, block)?;
-        Ok(Submitted {
-            handle: JobHandle::new(state),
-            cached: false,
-        })
+            trace: spec.trace,
+            cache_slot: Some(CacheKey {
+                graph: gref,
+                algorithm: spec.algorithm,
+                seed: spec.seed,
+                processors: spec.processors.unwrap_or(0),
+            }),
+        }
+        .admit(arrived, block)
     }
 
     /// Starts a job submission for `g`. The graph is shared by `Arc` so
@@ -973,12 +937,16 @@ impl Service {
     pub fn job<'s>(&'s self, g: &Arc<CsrGraph>) -> JobBuilder<'s> {
         JobBuilder {
             service: self,
-            graph: Arc::clone(g),
+            graph: Ok(Arc::clone(g)),
             algo: None,
             deadline: None,
             priority: Priority::Normal,
             preferred_p: None,
             tenant: 0,
+            trace: None,
+            // Ad-hoc graphs have no catalog identity, so their results
+            // cannot be cached or shared.
+            cache_slot: None,
         }
     }
 
@@ -1005,10 +973,12 @@ impl Service {
         }
     }
 
-    /// Records a rejected submission: the reason-tagged reject gauge
-    /// plus the journal's terminal event for the trace.
-    fn reject(&self, trace: TraceId, lane: usize, reason: &str, err: JobError) -> JobError {
+    /// Records a submission turned away at the door: the reason-tagged
+    /// reject gauge (a closed service counts none) plus the journal's
+    /// terminal event for the trace.
+    fn reject(&self, trace: TraceId, lane: usize, err: JobError) -> JobError {
         match err {
+            JobError::ShuttingDown => {}
             JobError::QuotaExceeded => self.shared.gauges.on_reject_quota(lane),
             JobError::DeadlineUnmeetable => {
                 self.shared.gauges.on_reject_deadline_unmeetable(lane);
@@ -1020,30 +990,24 @@ impl Service {
             JobEventKind::Finished,
             Some(lane as u8),
             None,
-            Some(reason.to_owned()),
+            Some(err.name().to_owned()),
         );
         err
     }
 
     fn enqueue(&self, job: QueuedJob, block: bool) -> Result<(), JobError> {
-        let lane = job.lane;
-        let (trace, algo_label) = (job.trace, job.algo_label);
+        let lane = job.ticket.lane;
+        let (trace, algo_label) = (job.ticket.state.trace, job.ticket.algo_label);
         // Register the eager-cancel hook before the job can be queued,
         // so a cancel racing this submission can never miss the sweep.
-        job.state
+        job.ticket
+            .state
             .set_cancel_observer(Arc::downgrade(&self.shared) as Weak<dyn CancelObserver>);
         let mut q = self.shared.queue.lock().unwrap();
         loop {
             if q.shutdown {
                 drop(q);
-                self.shared.telemetry.journal().record_now(
-                    trace,
-                    JobEventKind::Finished,
-                    Some(lane as u8),
-                    None,
-                    Some("shutting_down".to_owned()),
-                );
-                return Err(JobError::ShuttingDown);
+                return Err(self.reject(trace, lane, JobError::ShuttingDown));
             }
             // Per-tenant quota: rejected even on the blocking path —
             // the tenant is over *its own* cap, so waiting for global
@@ -1052,12 +1016,7 @@ impl Service {
             if let Some(quota) = self.shared.tenant_quota {
                 if q.tenant_load(job.tenant) >= quota {
                     drop(q);
-                    return Err(self.reject(
-                        trace,
-                        lane,
-                        "quota_exceeded",
-                        JobError::QuotaExceeded,
-                    ));
+                    return Err(self.reject(trace, lane, JobError::QuotaExceeded));
                 }
             }
             // Deadline-aware admission: when this lane's observed queue
@@ -1065,19 +1024,14 @@ impl Service {
             // job would almost surely expire in the queue — reject now
             // so the tenant can retry elsewhere instead of burning a
             // bounded slot on a doomed job.
-            if let Some(deadline) = job.state.token.deadline() {
+            if let Some(deadline) = job.ticket.state.token.deadline() {
                 let remaining = deadline
                     .saturating_duration_since(Instant::now())
                     .as_nanos()
                     .min(u128::from(u64::MAX)) as u64;
                 if self.shared.queue_delay_estimate_ns(lane) > remaining {
                     drop(q);
-                    return Err(self.reject(
-                        trace,
-                        lane,
-                        "deadline_unmeetable",
-                        JobError::DeadlineUnmeetable,
-                    ));
+                    return Err(self.reject(trace, lane, JobError::DeadlineUnmeetable));
                 }
             }
             if q.len < self.shared.capacity {
@@ -1085,7 +1039,7 @@ impl Service {
             }
             if !block {
                 drop(q);
-                return Err(self.reject(trace, lane, "backpressure", JobError::Backpressure));
+                return Err(self.reject(trace, lane, JobError::Backpressure));
             }
             q = self.shared.space.wait(q).unwrap();
         }
@@ -1132,18 +1086,24 @@ impl Submitted {
 /// A pending submission, built by [`Service::job`].
 pub struct JobBuilder<'s> {
     service: &'s Service,
-    graph: Arc<CsrGraph>,
+    /// The graph to span; `Err(current version)` for a pinned catalog
+    /// version the catalog no longer holds (servable only from cache).
+    graph: Result<Arc<CsrGraph>, u32>,
     algo: Option<BoxedAlgorithm>,
     deadline: Option<Duration>,
     priority: Priority,
     preferred_p: Option<usize>,
     tenant: u64,
+    /// Trace id a front-end minted ahead of submission.
+    trace: Option<u64>,
+    /// Result-cache key of a catalog-addressed submission.
+    cache_slot: Option<CacheKey>,
 }
 
 impl std::fmt::Debug for JobBuilder<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JobBuilder")
-            .field("n", &self.graph.num_vertices())
+            .field("n", &self.graph.as_ref().map_or(0, |g| g.num_vertices()))
             .field("priority", &self.priority)
             .field("deadline", &self.deadline)
             .finish()
@@ -1192,53 +1152,108 @@ impl JobBuilder<'_> {
     /// Submits, blocking while the admission queue is full. Fails only
     /// when the service is shutting down.
     pub fn submit(self) -> Result<JobHandle, JobError> {
-        self.enqueue(true)
+        self.admit(Instant::now(), true).map(Submitted::into_handle)
     }
 
     /// Submits without blocking: a full queue is
     /// [`JobError::Backpressure`], leaving the caller to shed load or
     /// retry.
     pub fn try_submit(self) -> Result<JobHandle, JobError> {
-        self.enqueue(false)
+        self.admit(Instant::now(), false)
+            .map(Submitted::into_handle)
     }
 
-    fn enqueue(self, block: bool) -> Result<JobHandle, JobError> {
-        let token = match self.deadline {
-            Some(d) => CancelToken::with_deadline(Instant::now() + d),
-            None => CancelToken::new(),
-        };
-        let trace = TraceId::mint();
-        let lane = self.priority.lane();
-        let state = JobState::new(token, trace);
+    /// The one admission path, shared by both front ends: mints the
+    /// job's token and trace, journals the submission, answers it at
+    /// the door when its deadline already expired or the result cache
+    /// holds its forest, and otherwise queues it.
+    fn admit(self, arrived: Instant, block: bool) -> Result<Submitted, JobError> {
+        let service = self.service;
+        let shared = &service.shared;
         let algo = self
             .algo
             .unwrap_or_else(|| Box::new(BaderCong::with_defaults()));
         // Custom algorithms outside the catalog set share one "other"
         // histogram label — the Prometheus series set stays bounded.
         let algo_label = Telemetry::algo_label(algo.name());
-        self.service.shared.telemetry.journal().record_now(
+        let token = match self.deadline {
+            Some(d) => CancelToken::with_deadline(arrived + d),
+            None => CancelToken::new(),
+        };
+        // Front-ends may pre-mint the id (the TCP server does, so the
+        // wire reply and the journal agree); otherwise mint here.
+        let trace = self.trace.map(TraceId).unwrap_or_else(TraceId::mint);
+        let lane = self.priority.lane();
+        shared.telemetry.journal().record_now(
             trace,
             JobEventKind::Submitted,
             Some(lane as u8),
             None,
             Some(algo_label.to_owned()),
         );
-        let job = QueuedJob {
-            graph: self.graph,
-            algo,
-            state: Arc::clone(&state),
-            submitted_at: Instant::now(),
-            preferred_p: self.preferred_p,
+        // A cache hit completes instantly, so any live deadline is met
+        // trivially — but a deadline that is already expired at
+        // submission (e.g. Duration::ZERO) must still report
+        // DeadlineExceeded, exactly as the executed path would.
+        let expired = token.is_cancelled();
+        let hit = match &self.cache_slot {
+            Some(key) if !expired => shared.cache.get(key),
+            _ => None,
+        };
+        if let Some(forest) = hit {
+            // Short-circuit: the forest is already known for this exact
+            // (graph version, algorithm, seed, width). No queue entry,
+            // no team lease — the handle resolves before it is returned.
+            // `on_cache_hit` counts the completion under the dedicated
+            // cached series; the zero-latency hit stays out of the
+            // execution histograms.
+            shared.gauges.on_cache_hit();
+            shared
+                .telemetry
+                .on_cached(trace, lane as u8, elapsed_ns(arrived));
+            return Ok(Submitted {
+                handle: JobHandle::new(JobState::resolved(Ok(forest), token, trace)),
+                cached: true,
+            });
+        }
+        let state = JobState::new(token, trace);
+        let handle = JobHandle::new(Arc::clone(&state));
+        let ticket = Ticket {
+            state,
             lane,
-            trace,
             algo_label,
-            // Ad-hoc graphs have no catalog identity, so their results
-            // cannot be cached or shared.
-            cache_slot: None,
+            cache_slot: self.cache_slot,
+        };
+        if expired {
+            let err = JobError::from_token(&ticket.state.token);
+            shared.gauges.on_submit_unqueued();
+            shared.finish(ticket, Err(err), 0, 0);
+            return Ok(Submitted {
+                handle,
+                cached: false,
+            });
+        }
+        if ticket.cache_slot.is_some() {
+            shared.gauges.on_cache_miss();
+        }
+        // A stale pin that the cache could not serve cannot execute:
+        // the pinned version's CSR is gone (superseded or evicted).
+        let graph = self
+            .graph
+            .map_err(|current| service.reject(trace, lane, JobError::StaleVersion(current)))?;
+        let job = QueuedJob {
+            ticket,
+            graph,
+            algo,
+            submitted_at: arrived,
+            preferred_p: self.preferred_p,
             tenant: self.tenant,
         };
-        self.service.enqueue(job, block)?;
-        Ok(JobHandle::new(state))
+        service.enqueue(job, block)?;
+        Ok(Submitted {
+            handle,
+            cached: false,
+        })
     }
 }
 
@@ -1261,19 +1276,11 @@ fn dispatcher(shared: &Shared) {
                 q = shared.work.wait(q).unwrap();
             }
         };
-        shared.gauges.on_dequeue(job.lane);
-        let queue_ns = elapsed_ns(job.submitted_at);
+        let queue_ns = shared.on_dequeued(&job);
         // Every dequeue feeds the lane's queue-delay estimator — the
         // drained and cancelled paths included, since they waited just
         // as long as a job that goes on to run.
-        shared.note_queue_delay(job.lane, queue_ns);
-        shared.telemetry.journal().record_now(
-            job.trace,
-            st_obs::JobEventKind::Dequeued,
-            Some(job.lane as u8),
-            None,
-            None,
-        );
+        shared.note_queue_delay(job.ticket.lane, queue_ns);
         shared.space.notify_one();
         if draining {
             // Classify from the token, exactly as the executed path
@@ -1281,28 +1288,13 @@ fn dispatcher(shared: &Shared) {
             // queue reports `DeadlineExceeded`, not a bogus
             // shutdown-cancellation — shutdown is merely when the
             // queue got around to noticing.
-            let err = if job.state.token.is_cancelled() {
-                JobError::from_token(&job.state.token)
+            let token = &job.ticket.state.token;
+            let err = if token.is_cancelled() {
+                JobError::from_token(token)
             } else {
                 JobError::ShuttingDown
             };
-            let outcome = match err {
-                JobError::ShuttingDown => "shutting_down",
-                ref e => outcome_name(e.outcome_kind()),
-            };
-            shared.gauges.on_finish(err.outcome_kind(), queue_ns, 0);
-            shared.telemetry.on_finished(
-                job.trace,
-                job.lane as u8,
-                None,
-                outcome,
-                queue_ns,
-                0,
-                false,
-                job.algo_label,
-                None,
-            );
-            job.state.finish(Err(err));
+            shared.finish(job.ticket, Err(err), queue_ns, 0);
             continue;
         }
         run_job(shared, job, &mut ws);
@@ -1317,23 +1309,12 @@ fn elapsed_ns(since: Instant) -> u64 {
 /// guarded execution, outcome accounting.
 fn run_job(shared: &Shared, job: QueuedJob, ws: &mut Workspace) {
     let queue_ns = elapsed_ns(job.submitted_at);
+    let token = &job.ticket.state.token;
     // A token that fired while the job sat in the queue: resolve without
     // paying for a lease.
-    if job.state.token.is_cancelled() {
-        let err = JobError::from_token(&job.state.token);
-        shared.gauges.on_finish(err.outcome_kind(), queue_ns, 0);
-        shared.telemetry.on_finished(
-            job.trace,
-            job.lane as u8,
-            None,
-            outcome_name(err.outcome_kind()),
-            queue_ns,
-            0,
-            false,
-            job.algo_label,
-            None,
-        );
-        job.state.finish(Err(err));
+    if token.is_cancelled() {
+        let err = JobError::from_token(token);
+        shared.finish(job.ticket, Err(err), queue_ns, 0);
         return;
     }
 
@@ -1346,18 +1327,18 @@ fn run_job(shared: &Shared, job: QueuedJob, ws: &mut Workspace) {
     });
     let lease = shared.pool.lease(preferred);
     let team = lease.team_id() as u32;
+    let (trace, lane) = (job.ticket.state.trace, job.ticket.lane);
     shared.gauges.on_team_busy();
-    shared.telemetry.on_started(job.trace, job.lane as u8, team);
+    shared.telemetry.on_started(trace, lane as u8, team);
     ws.note_queue_wait(queue_ns);
-    ws.note_trace_id(job.trace.as_u64());
+    ws.note_trace_id(trace.as_u64());
     let started = Instant::now();
     // The guard isolates tenant panics: the lease returns the team on
     // unwind (Executor survives panicked jobs) and the dispatcher
     // replaces its workspace, so the pool keeps serving other tenants.
     let run = catch_unwind(AssertUnwindSafe(|| {
         job.algo.prepare(ws, &job.graph);
-        job.algo
-            .run_with_cancel(&job.graph, &lease, ws, &job.state.token)
+        job.algo.run_with_cancel(&job.graph, &lease, ws, token)
     }));
     drop(lease);
     shared.gauges.on_team_idle();
@@ -1367,79 +1348,17 @@ fn run_job(shared: &Shared, job: QueuedJob, ws: &mut Workspace) {
     shared.apply_pending_resize(team as usize);
     let exec_ns = elapsed_ns(started);
 
-    match run {
-        Ok(Ok(forest)) => {
-            if let Some(key) = job.cache_slot {
-                shared.cache.insert(key, forest.clone());
-            }
-            shared
-                .gauges
-                .on_finish(JobOutcomeKind::Completed, queue_ns, exec_ns);
-            shared.telemetry.on_finished(
-                job.trace,
-                job.lane as u8,
-                Some(team),
-                "completed",
-                queue_ns,
-                exec_ns,
-                true,
-                job.algo_label,
-                Some(&forest.stats.metrics),
-            );
-            job.state.finish(Ok(forest));
-        }
-        Ok(Err(st_core::Cancelled)) => {
-            let err = JobError::from_token(&job.state.token);
-            shared
-                .gauges
-                .on_finish(err.outcome_kind(), queue_ns, exec_ns);
-            shared.telemetry.on_finished(
-                job.trace,
-                job.lane as u8,
-                Some(team),
-                outcome_name(err.outcome_kind()),
-                queue_ns,
-                exec_ns,
-                false,
-                job.algo_label,
-                None,
-            );
-            job.state.finish(Err(err));
-        }
+    let result = match run {
+        Ok(Ok(forest)) => Ok(forest),
+        Ok(Err(st_core::Cancelled)) => Err(JobError::from_token(token)),
         Err(payload) => {
             // Mid-run unwind can leave the workspace's scratch in an
             // arbitrary state; a fresh arena is the safe restart.
             *ws = Workspace::new();
-            shared
-                .gauges
-                .on_finish(JobOutcomeKind::Panicked, queue_ns, exec_ns);
-            shared.telemetry.on_finished(
-                job.trace,
-                job.lane as u8,
-                Some(team),
-                "panicked",
-                queue_ns,
-                exec_ns,
-                false,
-                job.algo_label,
-                None,
-            );
-            job.state
-                .finish(Err(JobError::Panicked(panic_message(&*payload))));
+            Err(JobError::Panicked(panic_message(&*payload)))
         }
-    }
-}
-
-/// Stable lowercase outcome names used in journal `finished` events
-/// (matching the `outcome` label values of
-/// `st_service_jobs_finished_total`).
-fn outcome_name(kind: JobOutcomeKind) -> &'static str {
-    match kind {
-        JobOutcomeKind::Completed => "completed",
-        JobOutcomeKind::Cancelled => "cancelled",
-        JobOutcomeKind::DeadlineExceeded => "deadline_exceeded",
-        JobOutcomeKind::Panicked => "panicked",
-    }
+    };
+    shared.finish(job.ticket, result, queue_ns, exec_ns);
 }
 
 /// Best-effort extraction of a panic payload's message.

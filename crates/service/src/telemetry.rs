@@ -18,10 +18,12 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::Mutex;
 
+use st_core::SpanningForest;
 use st_obs::hist::ShardedHistogram;
 use st_obs::journal::{escape_json_into, EventJournal, JobEventKind, TraceId};
-use st_obs::{HistogramFamily, HistogramSeries, JobMetrics, QUEUE_LANES};
+use st_obs::{HistogramFamily, HistogramSeries, QUEUE_LANES};
 
+use crate::job::JobError;
 use crate::spec::AlgorithmId;
 
 /// Default journal capacity when neither the builder nor
@@ -71,7 +73,8 @@ pub struct SlowJob {
     pub trace: TraceId,
     /// Wall latency (queue + exec) in nanoseconds.
     pub wall_ns: u64,
-    /// The complete [`JobMetrics`] report, pre-rendered as JSON.
+    /// The complete [`JobMetrics`](st_obs::JobMetrics) report,
+    /// pre-rendered as JSON.
     pub metrics_json: String,
 }
 
@@ -205,63 +208,66 @@ impl Telemetry {
     }
 
     /// Journals the job's end, removes it from the in-flight table,
-    /// and — for completed real executions — records the latency
-    /// histograms and, past the threshold, the slow-job report.
-    #[allow(clippy::too_many_arguments)]
+    /// and — for completed executions — records the latency histograms
+    /// and, past the threshold, the slow-job report. The team a job ran
+    /// on is the one [`on_started`](Self::on_started) recorded in its
+    /// in-flight entry; the outcome name follows from `result`.
     pub(crate) fn on_finished(
         &self,
         trace: TraceId,
         lane: u8,
-        team: Option<u32>,
-        outcome: &str,
+        algorithm: &'static str,
         queue_ns: u64,
         exec_ns: u64,
-        completed: bool,
-        algorithm: &'static str,
-        metrics: Option<&JobMetrics>,
+        result: &Result<SpanningForest, JobError>,
     ) {
-        self.inflight
+        let team = self
+            .inflight
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .remove(&trace.as_u64());
-        if completed {
-            let lane_i = (lane as usize).min(QUEUE_LANES - 1);
-            self.lane_queue[lane_i].record(queue_ns);
-            self.lane_exec[lane_i].record(exec_ns);
-            self.lane_wall[lane_i].record(queue_ns + exec_ns);
-            if let Some((_, h)) = self.algo_exec.iter().find(|(n, _)| *n == algorithm) {
-                h.record(exec_ns);
-            }
-        }
-        if let Some(m) = metrics {
-            // A hybrid run that executed any bottom-up round switched
-            // direction at least once — worth a discrete event, since
-            // switch behavior is exactly what distribution-level
-            // telemetry exists to expose.
-            let bu = m.get(st_obs::Counter::RoundsBottomUp);
-            if bu > 0 {
-                let td = m.get(st_obs::Counter::RoundsTopDown);
-                self.journal.record_now(
-                    trace,
-                    JobEventKind::DirectionSwitched,
-                    Some(lane),
-                    team,
-                    Some(format!("rounds_top_down={td},rounds_bottom_up={bu}")),
-                );
-            }
-            let wall_ns = queue_ns + exec_ns;
-            if wall_ns >= self.slow_threshold_ns {
-                let mut slow = self.slow.lock().unwrap_or_else(|e| e.into_inner());
-                if slow.len() >= SLOW_LOG_CAPACITY {
-                    slow.pop_front();
+            .remove(&trace.as_u64())
+            .and_then(|job| job.team);
+        let outcome = match result {
+            Err(err) => err.name(),
+            Ok(forest) => {
+                let lane_i = (lane as usize).min(QUEUE_LANES - 1);
+                self.lane_queue[lane_i].record(queue_ns);
+                self.lane_exec[lane_i].record(exec_ns);
+                self.lane_wall[lane_i].record(queue_ns + exec_ns);
+                if let Some((_, h)) = self.algo_exec.iter().find(|(n, _)| *n == algorithm) {
+                    h.record(exec_ns);
                 }
-                slow.push_back(SlowJob {
-                    trace,
-                    wall_ns,
-                    metrics_json: m.to_json(),
-                });
+                let m = &forest.stats.metrics;
+                // A hybrid run that executed any bottom-up round switched
+                // direction at least once — worth a discrete event, since
+                // switch behavior is exactly what distribution-level
+                // telemetry exists to expose.
+                let bu = m.get(st_obs::Counter::RoundsBottomUp);
+                if bu > 0 {
+                    let td = m.get(st_obs::Counter::RoundsTopDown);
+                    self.journal.record_now(
+                        trace,
+                        JobEventKind::DirectionSwitched,
+                        Some(lane),
+                        team,
+                        Some(format!("rounds_top_down={td},rounds_bottom_up={bu}")),
+                    );
+                }
+                let wall_ns = queue_ns + exec_ns;
+                if wall_ns >= self.slow_threshold_ns {
+                    let mut slow = self.slow.lock().unwrap_or_else(|e| e.into_inner());
+                    if slow.len() >= SLOW_LOG_CAPACITY {
+                        slow.pop_front();
+                    }
+                    slow.push_back(SlowJob {
+                        trace,
+                        wall_ns,
+                        metrics_json: m.to_json(),
+                    });
+                }
+                "completed"
             }
-        }
+        };
         self.journal.record_now(
             trace,
             JobEventKind::Finished,
@@ -455,6 +461,19 @@ pub(crate) fn json_escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use st_core::AlgoStats;
+    use st_obs::JobMetrics;
+
+    fn completed(metrics: JobMetrics) -> Result<SpanningForest, JobError> {
+        Ok(SpanningForest {
+            parents: Vec::new(),
+            roots: Vec::new(),
+            stats: AlgoStats {
+                metrics,
+                ..AlgoStats::default()
+            },
+        })
+    }
 
     #[test]
     fn algo_labels_are_bounded() {
@@ -474,13 +493,10 @@ mod tests {
         t.on_finished(
             id,
             0,
-            Some(2),
-            "completed",
+            "bader-cong",
             1_000_000,
             4_000_000,
-            true,
-            "bader-cong",
-            None,
+            &completed(JobMetrics::default()),
         );
         assert_eq!(t.inflight_len(), 0);
         let (p50, p99) = t.wall_quantiles();
@@ -511,7 +527,7 @@ mod tests {
         let t = Telemetry::new(64, u64::MAX);
         let id = TraceId::mint();
         t.on_admitted(id, 1, "sv");
-        t.on_finished(id, 1, None, "cancelled", 500, 0, false, "sv", None);
+        t.on_finished(id, 1, "sv", 500, 0, &Err(JobError::Cancelled));
         assert_eq!(t.wall_quantiles(), (0, 0));
         assert_eq!(t.inflight_len(), 0);
     }
@@ -543,28 +559,8 @@ mod tests {
             p: 2,
             ..JobMetrics::default()
         };
-        t.on_finished(
-            fast,
-            0,
-            Some(0),
-            "completed",
-            100,
-            100,
-            true,
-            "hcs",
-            Some(&m),
-        );
-        t.on_finished(
-            slow,
-            0,
-            Some(0),
-            "completed",
-            1_000_000,
-            5_000_000,
-            true,
-            "hcs",
-            Some(&m),
-        );
+        t.on_finished(fast, 0, "hcs", 100, 100, &completed(m.clone()));
+        t.on_finished(slow, 0, "hcs", 1_000_000, 5_000_000, &completed(m));
         let reports = t.slow_jobs();
         assert_eq!(reports.len(), 1, "only the slow job is kept");
         assert_eq!(reports[0].trace, slow);
@@ -604,7 +600,7 @@ mod tests {
         set.rank(0).add(st_obs::Counter::RoundsTopDown, 3);
         set.rank(0).add(st_obs::Counter::RoundsBottomUp, 2);
         m.totals = set.merged();
-        t.on_finished(id, 1, Some(0), "completed", 10, 10, true, "sv", Some(&m));
+        t.on_finished(id, 1, "sv", 10, 10, &completed(m));
         let events = t.journal().events_for(id);
         let kinds: Vec<_> = events.iter().map(|e| e.kind).collect();
         assert_eq!(

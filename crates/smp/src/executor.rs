@@ -1,9 +1,9 @@
 //! Persistent processor team: workers spawned once, parked between jobs.
 //!
-//! [`run_team`](crate::run_team) spawns and joins `p` OS threads per
-//! call, which is fine for one long traversal but dominates latency when
-//! many algorithm invocations share a process (batch benchmarks, request
-//! serving). [`Executor`] keeps the team alive instead:
+//! Spawning and joining `p` OS threads per call is fine for one long
+//! traversal but dominates latency when many algorithm invocations
+//! share a process (batch benchmarks, request serving). [`Executor`]
+//! keeps the team alive instead:
 //!
 //! * `p − 1` worker threads are created once and park on a condition
 //!   variable between jobs (rank 0 is the submitting thread itself, so
@@ -22,12 +22,11 @@
 //!   current sense, which is stable between jobs (no episode can
 //!   complete before every rank has entered its first wait).
 //!
-//! Panic semantics match `run_team`: a panic on any rank is caught,
-//! the submitter still waits for the rest of the team, and then panics
-//! with "team worker panicked". The executor itself stays usable after
-//! a failed job. As with `run_team`, a panic *between* two barrier
-//! waits of the same job deadlocks the team — barriers require all `p`
-//! ranks.
+//! Panic semantics: a panic on any rank is caught, the submitter still
+//! waits for the rest of the team, and then panics with "team worker
+//! panicked". The executor itself stays usable after a failed job. A
+//! panic *between* two barrier waits of the same job deadlocks the
+//! team — barriers require all `p` ranks.
 
 use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -93,10 +92,9 @@ unsafe impl<R: Send> Sync for ResultSlot<R> {}
 /// A long-lived team of `p` processors sharing one barrier and one
 /// termination detector.
 ///
-/// Submit work with [`run`](Self::run); jobs execute with the same
-/// `TeamCtx` API as [`run_team`](crate::run_team) and return per-rank
-/// results in rank order. Dropping the executor shuts the workers down
-/// and joins them.
+/// Submit work with [`run`](Self::run); jobs execute with the
+/// [`TeamCtx`] API and return per-rank results in rank order. Dropping
+/// the executor shuts the workers down and joins them.
 ///
 /// ```
 /// use st_smp::Executor;
@@ -219,13 +217,12 @@ impl Executor {
 
         if p == 1 {
             // No workers exist; run rank 0 inline with no handoff. A
-            // panic in `f` propagates with its original payload (like
-            // `run_team`'s fast path), but the job must still be counted
-            // first: the multi-rank path counts panicked jobs (the whole
-            // team ran them), and a `p == 1` team skipping the increment
-            // made `jobs_completed` disagree between the two paths —
-            // exactly the kind of lifecycle drift the loom executor
-            // model pins down.
+            // panic in `f` propagates with its original payload, but
+            // the job must still be counted first: the multi-rank path
+            // counts panicked jobs (the whole team ran them), and a
+            // `p == 1` team skipping the increment made `jobs_completed`
+            // disagree between the two paths — exactly the kind of
+            // lifecycle drift the loom executor model pins down.
             let token = BarrierToken::with_sense(self.shared.barrier.current_sense());
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 body(0, TeamCtx::new(0, 1, &self.shared.barrier, &token));

@@ -65,4 +65,4 @@ pub use lock::{SpinLock, TicketLock};
 pub use pad::{CacheAligned, CachePadded};
 pub use pool::{ExecutorLease, ExecutorPool};
 pub use steal::{StealPolicy, WorkQueue};
-pub use team::{run_team, TeamCtx};
+pub use team::TeamCtx;

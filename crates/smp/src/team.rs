@@ -1,18 +1,12 @@
 //! Processor teams: the SIMPLE-style "pardo" region.
 //!
-//! [`run_team`] runs a closure on a team of `p` ranks, handing each a
-//! [`TeamCtx`] carrying its rank and a shared [`SenseBarrier`]. This
-//! mirrors how the paper's POSIX-threads code structures every
-//! algorithm: a fixed team, ranks `0..p`, and explicit software
-//! barriers between phases.
-//!
-//! Since the introduction of the persistent [`Executor`], `run_team` is
-//! a thin compatibility wrapper: it builds a scoped executor for the
-//! duration of one job and tears it down again. Code that dispatches
-//! repeatedly should hold an [`Executor`] instead.
+//! [`Executor::run`](crate::Executor::run) runs a closure on a team of
+//! `p` ranks, handing each a [`TeamCtx`] carrying its rank and a shared
+//! [`SenseBarrier`]. This mirrors how the paper's POSIX-threads code
+//! structures every algorithm: a fixed team, ranks `0..p`, and explicit
+//! software barriers between phases.
 
 use crate::barrier::{BarrierToken, SenseBarrier};
-use crate::executor::Executor;
 
 /// Per-thread context inside a team region.
 pub struct TeamCtx<'a> {
@@ -76,33 +70,21 @@ pub fn block_range(rank: usize, p: usize, total: usize) -> std::ops::Range<usize
     start..start + len
 }
 
-/// Runs `f` on a team of `p` threads and returns each rank's result in
-/// rank order. Panics in any worker propagate after all threads join.
-///
-/// Compatibility wrapper: builds a scoped [`Executor`] (spawning `p − 1`
-/// threads, none for `p == 1`), runs the single job, and drops the team.
-pub fn run_team<R, F>(p: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(TeamCtx<'_>) -> R + Sync,
-{
-    Executor::new(p).run(f)
-}
-
 #[cfg(all(test, not(feature = "loom")))]
 mod tests {
     use super::*;
+    use crate::executor::Executor;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn ranks_are_distinct_and_complete() {
-        let ranks = run_team(4, |ctx| ctx.rank());
+        let ranks = Executor::new(4).run(|ctx| ctx.rank());
         assert_eq!(ranks, vec![0, 1, 2, 3]);
     }
 
     #[test]
     fn single_thread_fast_path() {
-        let r = run_team(1, |ctx| {
+        let r = Executor::new(1).run(|ctx| {
             assert_eq!(ctx.size(), 1);
             assert!(ctx.barrier());
             7
@@ -114,7 +96,7 @@ mod tests {
     fn barrier_separates_phases() {
         const P: usize = 4;
         let counter = AtomicUsize::new(0);
-        run_team(P, |ctx| {
+        Executor::new(P).run(|ctx| {
             counter.fetch_add(1, Ordering::AcqRel);
             ctx.barrier();
             // After the barrier every increment must be visible.
@@ -149,12 +131,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one processor")]
     fn zero_team_rejected() {
-        run_team(0, |_| ());
+        Executor::new(0).run(|_| ());
     }
 
     #[test]
     fn results_in_rank_order() {
-        let out = run_team(5, |ctx| ctx.rank() * 10);
+        let out = Executor::new(5).run(|ctx| ctx.rank() * 10);
         assert_eq!(out, vec![0, 10, 20, 30, 40]);
     }
 }

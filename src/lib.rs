@@ -84,8 +84,6 @@ pub mod prelude {
     pub use st_core::connected::{components_from_forest, connected_components};
     pub use st_core::engine::{Cancelled, Engine, EngineJob, SpanningAlgorithm, Workspace};
     pub use st_core::mst::{self, MstResult};
-    #[allow(deprecated)] // the shim stays exported until it is removed
-    pub use st_core::multiroot::spanning_forest_multiroot;
     pub use st_core::multiroot::Multiroot;
     pub use st_core::result::{AlgoStats, SpanningForest};
     pub use st_core::seq;

@@ -1,7 +1,3 @@
-// The deprecated one-shot wrappers are exercised on purpose: the shims
-// must keep working (and stay measurable) until they are removed.
-#![allow(deprecated)]
-
 //! Integration tests for the application layer built on spanning trees:
 //! biconnectivity, ear decomposition, MST, and the subgraph pipeline —
 //! including the skewed-degree inputs that stress work stealing hardest.
@@ -9,6 +5,8 @@
 use bader_cong_spanning::prelude::*;
 use st_core::biconnected::biconnected_components;
 use st_core::ears::{ear_decomposition, EarError};
+use st_core::hcs::Hcs;
+use st_core::sv::Sv;
 use st_graph::gen::RmatParams;
 use st_graph::subgraph::largest_component;
 use st_graph::validate::count_components;
@@ -19,13 +17,13 @@ fn rmat_hubs_do_not_break_any_algorithm() {
     let g = gen::rmat(12, 8, RmatParams::standard(), 3);
     let reference = count_components(&g);
     for p in [1usize, 4, 8] {
-        let f = BaderCong::with_defaults().spanning_forest(&g, p);
+        let f = Engine::new(p).run(&BaderCong::with_defaults(), &g);
         assert!(is_spanning_forest(&g, &f.parents), "bader-cong p={p}");
         assert_eq!(f.num_trees(), reference);
     }
-    let f = sv::spanning_forest(&g, 4, SvConfig::default());
+    let f = Engine::new(4).run(&Sv::new(SvConfig::default()), &g);
     assert!(is_spanning_forest(&g, &f.parents), "sv");
-    let f = st_core::hcs::spanning_forest(&g, 4);
+    let f = Engine::new(4).run(&Hcs, &g);
     assert!(is_spanning_forest(&g, &f.parents), "hcs");
 }
 
@@ -33,7 +31,7 @@ fn rmat_hubs_do_not_break_any_algorithm() {
 fn small_world_sweep_across_beta() {
     for beta in [0.0, 0.05, 0.5, 1.0] {
         let g = gen::watts_strogatz(2_000, 3, beta, 7);
-        let f = BaderCong::with_defaults().spanning_forest(&g, 4);
+        let f = Engine::new(4).run(&BaderCong::with_defaults(), &g);
         assert!(is_spanning_forest(&g, &f.parents), "beta = {beta}");
     }
 }

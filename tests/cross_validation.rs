@@ -1,13 +1,10 @@
-// The deprecated one-shot wrappers are exercised on purpose: the shims
-// must keep working (and stay measurable) until they are removed.
-#![allow(deprecated)]
-
 //! Cross-crate integration: every algorithm, on every paper workload,
 //! across processor counts, validated against the sequential oracle.
 
 use bader_cong_spanning::prelude::*;
 use st_bench::workloads::Workload;
-use st_core::hcs;
+use st_core::hcs::Hcs;
+use st_core::sv::Sv;
 use st_graph::validate::{check_spanning_forest, count_components};
 
 const N: usize = 2_048;
@@ -26,7 +23,7 @@ fn bader_cong_valid_on_every_workload_and_p() {
         let g = w.build(N, SEED);
         let reference = count_components(&g);
         for p in [1usize, 2, 3, 4, 8] {
-            let f = BaderCong::with_defaults().spanning_forest(&g, p);
+            let f = Engine::new(p).run(&BaderCong::with_defaults(), &g);
             let check = check_spanning_forest(&g, &f.parents);
             assert!(check.is_valid(), "{} p={p}: {check:?}", w.id());
             assert_eq!(f.num_trees(), reference, "{} p={p}", w.id());
@@ -40,7 +37,7 @@ fn sv_valid_on_every_workload() {
         let g = w.build(N, SEED);
         let reference = count_components(&g);
         for p in [1usize, 2, 4] {
-            let f = sv::spanning_forest(&g, p, SvConfig::default());
+            let f = Engine::new(p).run(&Sv::new(SvConfig::default()), &g);
             assert!(is_spanning_forest(&g, &f.parents), "sv {} p={p}", w.id());
             assert_eq!(f.num_trees(), reference, "sv {} p={p}", w.id());
         }
@@ -55,7 +52,7 @@ fn sv_lock_variant_valid_on_every_workload() {
     };
     for w in all_workloads() {
         let g = w.build(N, SEED);
-        let f = sv::spanning_forest(&g, 4, cfg);
+        let f = Engine::new(4).run(&Sv::new(cfg), &g);
         assert!(is_spanning_forest(&g, &f.parents), "sv-lock {}", w.id());
         assert_eq!(f.num_trees(), count_components(&g), "sv-lock {}", w.id());
     }
@@ -65,7 +62,7 @@ fn sv_lock_variant_valid_on_every_workload() {
 fn hcs_valid_on_every_workload() {
     for w in all_workloads() {
         let g = w.build(N, SEED);
-        let f = hcs::spanning_forest(&g, 4);
+        let f = Engine::new(4).run(&Hcs, &g);
         assert!(is_spanning_forest(&g, &f.parents), "hcs {}", w.id());
         assert_eq!(f.num_trees(), count_components(&g), "hcs {}", w.id());
     }
@@ -88,7 +85,7 @@ fn components_agree_between_algorithms() {
     for w in [Workload::Mesh2D60, Workload::Ad3, Workload::GeoFlat] {
         let g = w.build(N, SEED);
         let from_sv = connected_components(&g, 4);
-        let forest = BaderCong::with_defaults().spanning_forest(&g, 4);
+        let forest = Engine::new(4).run(&BaderCong::with_defaults(), &g);
         let from_forest = components_from_forest(&forest.parents);
         assert_eq!(from_sv.count, from_forest.count, "{}", w.id());
         // Partitions match up to relabeling.
@@ -129,7 +126,7 @@ fn preprocessing_composes_with_every_workload() {
     };
     for w in all_workloads() {
         let g = w.build(N, SEED);
-        let f = BaderCong::new(cfg.clone()).spanning_forest(&g, 4);
+        let f = Engine::new(4).run(&BaderCong::new(cfg.clone()), &g);
         assert!(is_spanning_forest(&g, &f.parents), "deg2 {}", w.id());
         assert_eq!(f.num_trees(), count_components(&g), "deg2 {}", w.id());
     }
@@ -148,7 +145,7 @@ fn starvation_fallback_composes_with_every_workload() {
     };
     for w in all_workloads() {
         let g = w.build(N, SEED);
-        let f = BaderCong::new(cfg.clone()).spanning_forest(&g, 4);
+        let f = Engine::new(4).run(&BaderCong::new(cfg.clone()), &g);
         assert!(
             is_spanning_forest(&g, &f.parents),
             "fallback {} (fired: {})",

@@ -1,7 +1,3 @@
-// The deprecated one-shot wrappers are exercised on purpose: the shims
-// must keep working (and stay measurable) until they are removed.
-#![allow(deprecated)]
-
 //! Metrics-consistency suite: the observability layer's counters must
 //! obey their documented invariants across processor counts, every
 //! engine job must return a populated `JobMetrics`, and the exporters
@@ -247,7 +243,7 @@ fn steal_into_uses_exact_length_not_stale_mirror() {
 #[test]
 fn multiroot_metrics_obey_the_same_invariants() {
     let g = gen::mesh2d_p(40, 40, 0.6, 3);
-    let f = spanning_forest_multiroot(&g, 4, TraversalConfig::default());
+    let f = Engine::new(4).run(&Multiroot::new(TraversalConfig::default()), &g);
     let m = &f.stats.metrics;
     assert!(m.get(Counter::StolenItems) <= m.get(Counter::ItemsPublished));
     assert_eq!(

@@ -6,6 +6,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use bader_cong_spanning::obs::{JobEvent, PoolSnapshot};
 use bader_cong_spanning::prelude::*;
 use bader_cong_spanning::smp::Executor;
 
@@ -651,4 +652,198 @@ fn elastic_pool_grows_under_backlog_and_shrinks_when_idle() {
         snap.teams_shrunk
     );
     assert_eq!(snap.completed, 60);
+}
+
+/// The front end a probe job is submitted through.
+#[derive(Clone, Copy, Debug)]
+enum Front {
+    /// `Service::submit_spec` / `try_submit_spec` on a catalog graph.
+    Spec,
+    /// `Service::job(..).submit()` / `try_submit()` on the same graph.
+    Builder,
+}
+
+/// One scene for the path-equivalence test: the service the probe
+/// meets and what happens to the probe.
+struct Scene {
+    name: &'static str,
+    capacity: usize,
+    tenant_quota: Option<usize>,
+    /// Hold the only team with a gate job while the probe arrives.
+    hold_team: bool,
+    /// Jobs of the probe's tenant queued ahead of it.
+    queued_ahead: usize,
+    deadline: Option<Duration>,
+    blocking: bool,
+    cancel_while_queued: bool,
+    /// The probe's submit and wait outcomes (`None`: nothing to wait on).
+    outcome: (&'static str, Option<&'static str>),
+}
+
+/// What a probe left behind: its submit and wait outcomes, its journal
+/// chain, and the pool counters once the service shut down.
+#[derive(Debug, PartialEq)]
+struct Trail {
+    submit: String,
+    wait: Option<String>,
+    /// The probe's journal events, with trace id and time zeroed.
+    chain: Vec<JobEvent>,
+    snapshot: PoolSnapshot,
+}
+
+fn variant<T>(r: &Result<T, JobError>) -> String {
+    match r {
+        Ok(_) => "Ok".to_owned(),
+        Err(e) => format!("{e:?}"),
+    }
+}
+
+fn probe(front: Front, scene: &Scene) -> Trail {
+    const TENANT: u64 = 7;
+    let mut builder = Service::builder().teams([1]).queue_capacity(scene.capacity);
+    if let Some(quota) = scene.tenant_quota {
+        builder = builder.tenant_quota(quota);
+    }
+    let svc = builder.build();
+    let g = Arc::new(gen::torus2d(8, 8));
+    let id = svc.catalog().register(Arc::clone(&g)).id;
+    // One finished job warms the lane's queue-delay estimate, as on any
+    // service that has been up for a while.
+    svc.job(&g)
+        .submit()
+        .unwrap()
+        .wait()
+        .expect("warm-up job runs");
+    let (gate, started, release) = Gate::new();
+    let gated = if scene.hold_team {
+        let handle = svc.job(&g).algorithm(gate).submit().expect("open");
+        wait_until("gate job to occupy the team", || {
+            started.load(Ordering::Acquire)
+        });
+        Some(handle)
+    } else {
+        None
+    };
+    let ahead: Vec<_> = (0..scene.queued_ahead)
+        .map(|_| svc.job(&g).tenant(TENANT).submit().expect("room ahead"))
+        .collect();
+
+    let submitted = match front {
+        Front::Spec => {
+            let mut spec = JobSpec::new(id).tenant(TENANT);
+            if let Some(d) = scene.deadline {
+                spec = spec.deadline(d);
+            }
+            let out = if scene.blocking {
+                svc.submit_spec(spec)
+            } else {
+                svc.try_submit_spec(spec)
+            };
+            out.map(|s| s.handle)
+        }
+        Front::Builder => {
+            let mut job = svc.job(&g).tenant(TENANT);
+            if let Some(d) = scene.deadline {
+                job = job.deadline(d);
+            }
+            if scene.blocking {
+                job.submit()
+            } else {
+                job.try_submit()
+            }
+        }
+    };
+    let submit = variant(&submitted);
+    if scene.cancel_while_queued {
+        submitted.as_ref().expect("probe queued").cancel();
+    }
+    release.store(true, Ordering::Release);
+    for handle in gated.into_iter().chain(ahead) {
+        handle.wait().expect("scene jobs complete");
+    }
+    let wait = submitted.ok().map(|h| variant(&h.wait()));
+
+    // The probe is the last job this service minted a trace for.
+    let events = svc.telemetry().journal().events();
+    let trace = events.iter().map(|e| e.trace).max().unwrap();
+    let chain = events
+        .into_iter()
+        .filter(|e| e.trace == trace)
+        .map(|e| JobEvent {
+            trace: TraceId(0),
+            t_ns: 0,
+            ..e
+        })
+        .collect();
+    let mut snapshot = svc.shutdown();
+    // Timings differ run to run, and only the catalog path has a cache
+    // to miss: neither is part of the admission contract.
+    snapshot.queue_ns_total = 0;
+    snapshot.exec_ns_total = 0;
+    snapshot.cache_misses = 0;
+    Trail {
+        submit,
+        wait,
+        chain,
+        snapshot,
+    }
+}
+
+#[test]
+fn both_front_ends_admit_and_finish_alike() {
+    let base = Scene {
+        name: "",
+        capacity: 4,
+        tenant_quota: None,
+        hold_team: false,
+        queued_ahead: 0,
+        deadline: None,
+        blocking: true,
+        cancel_while_queued: false,
+        outcome: ("Ok", Some("Ok")),
+    };
+    let scenes = [
+        Scene {
+            name: "already-expired deadline",
+            deadline: Some(Duration::ZERO),
+            outcome: ("Ok", Some("DeadlineExceeded")),
+            ..base
+        },
+        Scene {
+            name: "tenant quota full",
+            tenant_quota: Some(1),
+            hold_team: true,
+            queued_ahead: 1,
+            outcome: ("QuotaExceeded", None),
+            ..base
+        },
+        Scene {
+            name: "try_submit on a full queue",
+            capacity: 1,
+            hold_team: true,
+            queued_ahead: 1,
+            blocking: false,
+            outcome: ("Backpressure", None),
+            ..base
+        },
+        Scene {
+            name: "cancel while queued",
+            hold_team: true,
+            cancel_while_queued: true,
+            outcome: ("Ok", Some("Cancelled")),
+            ..base
+        },
+        Scene {
+            name: "normal completion",
+            ..base
+        },
+    ];
+    for scene in &scenes {
+        let spec = probe(Front::Spec, scene);
+        let built = probe(Front::Builder, scene);
+        assert_eq!(spec, built, "{}: the front ends diverge", scene.name);
+        let (submit, wait) = scene.outcome;
+        assert_eq!(spec.submit, submit, "{}", scene.name);
+        assert_eq!(spec.wait.as_deref(), wait, "{}", scene.name);
+    }
 }
